@@ -113,6 +113,8 @@ def load_model(spec: str) -> Model:
     else:
         data = fixture_corpus.fixture_by_name(spec)
         name = data["name"]
+    if not isinstance(data, dict):
+        raise PolyError(f"{name}: a model file must hold a JSON object")
     if data.get("kind") == "tangency":
         raise PolyError(f"{name} is a tangency fixture; use the tangency subcommands")
     n = int(data["n"])
@@ -123,8 +125,11 @@ def load_model(spec: str) -> Model:
     if "frame" in data and data["frame"] is not None:
         rows = [[parse_poly(ring, a) for a in row] for row in data["frame"]]
         frame = Frame(m, rows)
+    file_caps = data.get("caps", {})
+    if not isinstance(file_caps, dict):
+        raise PolyError(f"{name}: caps must be a JSON object")
     caps = dict(DEFAULT_CAPS)
-    caps.update(data.get("caps", {}))
+    caps.update(file_caps)
     trial = None
     if "trial_set" in data and data["trial_set"] is not None:
         trial = [parse_scalar(c) for c in data["trial_set"]]
@@ -140,13 +145,21 @@ def load_model(spec: str) -> Model:
     )
 
 
+def _cap(flag: Optional[int], model: Model, key: str) -> int:
+    """The cap given on the command line, else the model's; below 1 is an input error."""
+    cap = flag if flag is not None else model.caps[key]
+    if type(cap) is not int or cap < 1:
+        raise PolyError(f"{key} must be an integer >= 1, got {cap!r}")
+    return cap
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers (each returns a JSON-ready dict)
 
 def cmd_contact(args) -> dict:
     model = load_model(args.model)
     s = args.s
-    degree_cap = args.degree_cap or model.caps["degree_cap"]
+    degree_cap = _cap(args.degree_cap, model, "degree_cap")
     report = contact_search(model.m, s, degree_cap, model.coeff_set())
     return {
         "command": "contact",
@@ -160,7 +173,7 @@ def cmd_contact(args) -> dict:
 
 def cmd_vftype(args) -> dict:
     model = load_model(args.model)
-    cap = args.cap or model.caps["bracket_cap"]
+    cap = _cap(args.cap, model, "bracket_cap")
     report = commutator_type(model.m, model.default_frame(), cap)
     return {
         "command": "vftype",
@@ -173,7 +186,7 @@ def cmd_vftype(args) -> dict:
 
 def cmd_levitype(args) -> dict:
     model = load_model(args.model)
-    cap = args.cap or model.caps["bracket_cap"]
+    cap = _cap(args.cap, model, "bracket_cap")
     report = levi_type(model.m, model.default_frame(), cap)
     return {
         "command": "levitype",
@@ -186,7 +199,7 @@ def cmd_levitype(args) -> dict:
 
 def cmd_sweep(args) -> dict:
     model = load_model(args.model)
-    cap = args.cap or model.caps["bracket_cap"]
+    cap = _cap(args.cap, model, "bracket_cap")
     report = type_sweep(
         model.m, model.m.n - 2, args.frame_degree, model.coeff_set(), cap
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, gr
 from .linalg import rank
@@ -55,7 +55,6 @@ class TypeReport:
     value: Optional[int]
     cap: int
     witness: str = ""
-    jet_order_used: object = INFINITE
 
     def display(self) -> str:
         return str(self.value) if self.value is not None else f">{self.cap}"
@@ -263,10 +262,10 @@ def _generators(frame: Frame) -> List[Tuple[str, VectorField]]:
     return gens
 
 
-def _check_jet(frame: Frame, cap: int) -> object:
+def _check_jet(frame: Frame, cap: int) -> None:
     jet = min(f.jet_order for f in frame.fields())
     if jet is INFINITE:
-        return INFINITE
+        return
     maxdeg = max(
         (a.degree() for row in frame.matrix for a in row if not a.is_zero()),
         default=0,
@@ -275,7 +274,44 @@ def _check_jet(frame: Frame, cap: int) -> object:
         raise JetOrderError(
             f"jet order {jet} insufficient for cap {cap} with coefficient degree {maxdeg}"
         )
-    return jet
+
+
+def _words(gens: Sequence[Tuple[str, VectorField]], seeds: Sequence[Tuple[str, object]],
+           first: int, cap: int, step: Callable[[VectorField, object], object],
+           fmt: str) -> Iterator[Tuple[int, str, object]]:
+    """Words of length first..cap, lazily, as (length, name, object).
+
+    The seeds are the words of length first.  A word of the next length is
+    step(g, w), named fmt.format(gname, wname), for each generator g (outer)
+    and each word w of the previous length (inner).  A level is built only as
+    far as the caller reads it, so a caller that stops at a witness builds no
+    more.
+    """
+    if first > cap:
+        return
+    level = list(seeds)
+    for name, obj in level:
+        yield first, name, obj
+    for length in range(first + 1, cap + 1):
+        nxt = []
+        for gname, g in gens:
+            for wname, w in level:
+                word = (fmt.format(gname, wname), step(g, w))
+                nxt.append(word)
+                yield (length,) + word
+        level = nxt
+
+
+def _bracket_words(frame: Frame, cap: int) -> Iterator[Tuple[int, str, VectorField]]:
+    """Right-nested brackets [g,[...]]; the generators (length 1) are visited for any cap."""
+    gens = _generators(frame)
+    return _words(gens, gens, 1, max(cap, 1), lie_bracket, "[{},{}]")
+
+
+def _trace_words(m: Hypersurface, frame: Frame, cap: int) -> Iterator[Tuple[int, str, Poly]]:
+    """Generator derivatives g(...(tr)) of the Levi trace, "tr" having length 2."""
+    seeds = [("tr", levi_trace(m, frame))]
+    return _words(_generators(frame), seeds, 2, cap, VectorField.apply, "{}({})")
 
 
 def commutator_type(m: Hypersurface, frame: Frame, cap: int) -> TypeReport:
@@ -285,20 +321,11 @@ def commutator_type(m: Hypersurface, frame: Frame, cap: int) -> TypeReport:
     conjugates; length-1 words pair to zero by tangency.  Returns the first
     nonzero length with its word, or ">cap".
     """
-    jet = _check_jet(frame, cap)
-    gens = _generators(frame)
-    level: List[Tuple[str, VectorField]] = list(gens)
-    for length in range(2, cap + 1):
-        nxt = []
-        for gname, g in gens:
-            for wname, wfield in level:
-                bracket = lie_bracket(g, wfield)
-                name = f"[{gname},{wname}]"
-                nxt.append((name, bracket))
-                if not pair_with_drho(bracket, m).constant_term().is_zero():
-                    return TypeReport("vector_field", length, cap, name, jet)
-        level = nxt
-    return TypeReport("vector_field", None, cap, "", jet)
+    _check_jet(frame, cap)
+    for length, name, f in _bracket_words(frame, cap):
+        if length > 1 and not pair_with_drho(f, m).constant_term().is_zero():
+            return TypeReport("vector_field", length, cap, name)
+    return TypeReport("vector_field", None, cap)
 
 
 def evaluate_bracket_word(m: Hypersurface, frame: Frame, word: str) -> GaussianRational:
@@ -344,20 +371,11 @@ def levi_trace(m: Hypersurface, frame: Frame) -> Poly:
 
 def levi_type(m: Hypersurface, frame: Frame, cap: int) -> TypeReport:
     """Least l such that some (l-2)-fold derivative of the Levi trace is nonzero at 0."""
-    jet = _check_jet(frame, cap)
-    gens = _generators(frame)
-    trace = levi_trace(m, frame)
-    level: List[Tuple[str, Poly]] = [("tr", trace)]
-    for length in range(2, cap + 1):
-        for name, p in level:
-            if not p.constant_term().is_zero():
-                return TypeReport("levi", length, cap, name, jet)
-        level = [
-            (f"{gname}({wname})", g.apply(p))
-            for gname, g in gens
-            for wname, p in level
-        ]
-    return TypeReport("levi", None, cap, "", jet)
+    _check_jet(frame, cap)
+    for length, name, p in _trace_words(m, frame, cap):
+        if not p.constant_term().is_zero():
+            return TypeReport("levi", length, cap, name)
+    return TypeReport("levi", None, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -434,52 +452,27 @@ class VanishingReport:
 
 def bracket_pairing_vanishing(m0: Hypersurface, frame0: Frame, cap: int) -> VanishingReport:
     """Check <word, d rho>(0) = 0 for every nested bracket word of length <= cap."""
-    gens = _generators(frame0)
-    level = list(gens)
-    for name, f in level:
+    for _, name, f in _bracket_words(frame0, cap):
         val = pair_with_drho(f, m0).constant_term()
         if not val.is_zero():
             return VanishingReport(False, cap, name, str(val))
-    for length in range(2, cap + 1):
-        nxt = []
-        for gname, g in gens:
-            for wname, wfield in level:
-                bracket = lie_bracket(g, wfield)
-                name = f"[{gname},{wname}]"
-                nxt.append((name, bracket))
-                val = pair_with_drho(bracket, m0).constant_term()
-                if not val.is_zero():
-                    return VanishingReport(False, cap, name, str(val))
-        level = nxt
     return VanishingReport(True, cap)
 
 
 def levi_trace_vanishing(m0: Hypersurface, frame0: Frame, cap: int) -> VanishingReport:
     """Check every (l-2)-fold trace derivative vanishes at 0 for l <= cap."""
-    gens = _generators(frame0)
-    trace = levi_trace(m0, frame0)
-    level: List[Tuple[str, Poly]] = [("tr", trace)]
-    for length in range(2, cap + 1):
-        for name, p in level:
-            val = p.constant_term()
-            if not val.is_zero():
-                return VanishingReport(False, cap, name, str(val))
-        level = [
-            (f"{gname}({wname})", g.apply(p))
-            for gname, g in gens
-            for wname, p in level
-        ]
+    for _, name, p in _trace_words(m0, frame0, cap):
+        val = p.constant_term()
+        if not val.is_zero():
+            return VanishingReport(False, cap, name, str(val))
     return VanishingReport(True, cap)
 
 
 def bracket_span_dim(frame0: Frame, cap: int) -> int:
     """Real dimension at 0 of the span of Re/Im of bracket words of length <= cap."""
-    ring = frame0.m.ring
-    nv = ring.nv
-    gens = _generators(frame0)
+    nv = frame0.m.ring.nv
     vectors: List[List[GaussianRational]] = []
-
-    def add_field(f: VectorField):
+    for _, _, f in _bracket_words(frame0, cap):
         v = f.eval_at_zero()
         conj_v = f.conj_field().eval_at_zero()
         re = [(a + b) * gr(Fraction(1, 2)) for a, b in zip(v, conj_v)]
@@ -492,18 +485,6 @@ def bracket_span_dim(frame0: Frame, cap: int) -> int:
                 row.append(gr(real_field[i].re))
                 row.append(gr(real_field[i].im))
             vectors.append(row)
-
-    level = list(gens)
-    for _, f in level:
-        add_field(f)
-    for length in range(2, cap + 1):
-        nxt = []
-        for gname, g in gens:
-            for wname, wfield in level:
-                bracket = lie_bracket(g, wfield)
-                nxt.append((f"[{gname},{wname}]", bracket))
-                add_field(bracket)
-        level = nxt
     return rank(vectors)
 
 

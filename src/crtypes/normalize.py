@@ -409,7 +409,7 @@ def shear_normalize(frame: Frame, m: Hypersurface) -> Tuple[Frame, Hypersurface,
         integrand = _corner_slice(cur.matrix[j][-1], j).hom_part(ls)
         if integrand.is_zero():
             continue
-        g = _integrate_in_var(integrand, j)
+        g = integrand._integrate_slot(j)
         step = Substitution.shear_last_z(ring, g)
         cur = pushforward_frame(cur, step)
         total = step.compose(total)
@@ -419,15 +419,6 @@ def shear_normalize(frame: Frame, m: Hypersurface) -> Tuple[Frame, Hypersurface,
     if l0_star(cur) < ls:
         raise NormalizeError("shear decreased the vanishing order; invariant broken")
     return cur, cur.m, total
-
-
-def _integrate_in_var(p: Poly, slot: int) -> Poly:
-    out = {}
-    for k, c in p.terms.items():
-        e = k[slot]
-        nk = k[:slot] + (e + 1,) + k[slot + 1:]
-        out[nk] = c * gr(Fraction(1, e + 1))
-    return Poly(p.ring, out)
 
 
 @dataclass

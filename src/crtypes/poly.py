@@ -217,8 +217,7 @@ class Poly:
         while k:
             if k & 1:
                 out = out * base
-            base_needed = k > 1
-            if base_needed:
+            if k > 1:
                 base = base * base
             k >>= 1
         return out
@@ -287,6 +286,14 @@ class Poly:
                 out[nk] = nc if prev is None else prev + nc
         return Poly._make(self.ring, out)
 
+    def _integrate_slot(self, slot: int) -> "Poly":
+        """Term-wise antiderivative in one slot: _d_slot undoes it."""
+        out = {}
+        for k, c in self.terms.items():
+            e = k[slot]
+            out[k[:slot] + (e + 1,) + k[slot + 1:]] = c * gr(Fraction(1, e + 1))
+        return Poly(self.ring, out)
+
     def dz(self, v: VarLike) -> "Poly":
         """Formal Wirtinger derivative with respect to an unbarred variable."""
         return self._d_slot(self.ring.index(v))
@@ -300,12 +307,6 @@ class Poly:
     def hom_part(self, d: int) -> "Poly":
         """Sum of monomials of ordinary total degree d."""
         return Poly(self.ring, {k: c for k, c in self.terms.items() if sum(k) == d})
-
-    def parts_by_degree(self) -> Dict[int, "Poly"]:
-        out: Dict[int, Dict[Exponents, GaussianRational]] = {}
-        for k, c in self.terms.items():
-            out.setdefault(sum(k), {})[k] = c
-        return {d: Poly(self.ring, t) for d, t in sorted(out.items())}
 
     def degree(self) -> int:
         """Ordinary total degree; -1 for the zero polynomial."""
@@ -378,11 +379,9 @@ class Poly:
         the unbarred image (checked); anything else breaks conjugation
         symmetry and raises PolyError.
         """
-        if not self.terms:
-            images, target = self._resolve_images(mapping)
-            return target.zero()
         images, target = self._resolve_images(mapping)
-        nv = self.ring.nv
+        if not self.terms:
+            return target.zero()
         power_cache: Dict[Tuple[int, int], Poly] = {}
 
         def power(slot: int, e: int) -> Poly:
@@ -484,12 +483,6 @@ class WeightSystem:
             raise PolyError(f"weights must be positive integers: {weights}")
         self.ring = ring
         self.weights = tuple(int(w) for w in weights)
-
-    @staticmethod
-    def standard(n: int, k: int, m: int) -> "WeightSystem":
-        """Weights (1, ..., 1, k, m) on z1..z_{n-2}, z_{n-1}, w."""
-        ring = hypersurface_ring(n)
-        return WeightSystem(ring, [1] * (n - 2) + [k, m])
 
     def weight(self, v: VarLike) -> int:
         return self.weights[self.ring.index(v)]

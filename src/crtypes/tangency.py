@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .gaussian import GaussianRational, gr
+from .gaussian import GaussianRational
 from .poly import Poly, PolyRing, WeightSystem
 from .psh import default_grid, sampled_psh
 
@@ -36,18 +35,7 @@ def _check_z1_only(p: Poly) -> None:
 def antiderivative_zbar1(p: Poly) -> Poly:
     """Term-wise z1bar-antiderivative of a (z1, z1bar)-polynomial."""
     _check_z1_only(p)
-    return _antider_zbar1(p)
-
-
-def _antider_zbar1(p: Poly) -> Poly:
-    ring = p.ring
-    slot = ring.nv  # z1bar
-    out = {}
-    for key, c in p.terms.items():
-        e = key[slot]
-        nk = key[:slot] + (e + 1,) + key[slot + 1:]
-        out[nk] = c * gr(Fraction(1, e + 1))
-    return Poly(ring, out)
+    return p._integrate_slot(p.ring.nv)
 
 
 def dilate(p: Poly, delta: GaussianRational) -> Poly:
@@ -174,7 +162,8 @@ def solution_space(problem: TangencyProblem) -> SolutionFamily:
             top = ring.monomial(key, 1)
             layers = [top]
             for _ in range(j):
-                nxt = -_antider_zbar1(a_bar * layers[-1].dzbar(1))
+                # ring.nv is the z1bar slot
+                nxt = -(a_bar * layers[-1].dzbar(1))._integrate_slot(ring.nv)
                 layers.append(nxt)
                 if nxt.is_zero():
                     break

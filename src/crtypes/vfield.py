@@ -105,10 +105,6 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def is_type_10(self) -> bool:
-        nv = self.ring.nv
-        return all(c.is_zero() for c in self.coeffs[nv:])
-
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(
             self.ring,

@@ -152,6 +152,37 @@ class TestExitCodes:
         code = main(["contact", "--model", "tangency-nonpsh", "--s", "1"])
         assert code == 1
 
+    def test_non_object_model_file(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        for text in ("[1,2]", '{"n": 3, "rho": "-2*Re(w) + z1*conj(z1)", "caps": [1]}'):
+            path.write_text(text)
+            code = main(["vftype", "--model", str(path)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("error:") and "JSON object" in err
+
+    def test_cap_below_one_in_model_file(self, tmp_path, capsys):
+        path = tmp_path / "negative-cap.json"
+        path.write_text(json.dumps({
+            "n": 3,
+            "rho": "-2*Re(w) + (z1*conj(z1))^2 + z2*conj(z2)",
+            "caps": {"bracket_cap": -3},
+        }))
+        for command in ("vftype", "levitype"):
+            code = main([command, "--model", str(path)])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert "bracket_cap must be an integer >= 1, got -3" in captured.err
+
+    def test_cap_flag_zero_not_replaced_by_default(self, capsys):
+        for command in ("vftype", "levitype", "sweep"):
+            code = main([command, "--model", "diag-2-1", "--cap", "0"])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert "got 0" in captured.err
+
 
 class TestTextMode:
     def test_fixtures_text(self, capsys):
