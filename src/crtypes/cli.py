@@ -104,6 +104,22 @@ class Model:
         return out
 
 
+def _is_str_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+# model file fields checked before use: (key, expected kind, test); the last
+# three may be null, and absent fields are left to the code that reads them
+_FIELD_TYPES = (
+    ("n", "an integer", lambda v: type(v) is int),
+    ("rho", "a string", lambda v: isinstance(v, str)),
+    ("frame", "a list of lists of strings",
+     lambda v: v is None or isinstance(v, list) and all(_is_str_list(row) for row in v)),
+    ("trial_set", "a list of strings", lambda v: v is None or _is_str_list(v)),
+    ("a_contact", "an integer", lambda v: v is None or type(v) is int),
+)
+
+
 def load_model(spec: str) -> Model:
     """Load a model from a JSON file path or a shipped fixture name."""
     if os.path.exists(spec):
@@ -117,7 +133,10 @@ def load_model(spec: str) -> Model:
         raise PolyError(f"{name}: a model file must hold a JSON object")
     if data.get("kind") == "tangency":
         raise PolyError(f"{name} is a tangency fixture; use the tangency subcommands")
-    n = int(data["n"])
+    for key, kind, ok in _FIELD_TYPES:
+        if key in data and not ok(data[key]):
+            raise PolyError(f"{name}: {key} must be {kind}, got {data[key]!r}")
+    n = data["n"]
     ring = hypersurface_ring(n)
     rho = parse_poly(ring, data["rho"])
     m, flipped = Hypersurface.from_rho(n, rho)
@@ -130,15 +149,17 @@ def load_model(spec: str) -> Model:
         raise PolyError(f"{name}: caps must be a JSON object")
     caps = dict(DEFAULT_CAPS)
     caps.update(file_caps)
+    if not _is_str_list(caps["coeff_set"]):
+        raise PolyError(f"{name}: caps.coeff_set must be a list of strings, "
+                        f"got {caps['coeff_set']!r}")
     trial = None
     if "trial_set" in data and data["trial_set"] is not None:
         trial = [parse_scalar(c) for c in data["trial_set"]]
-    a_contact = data.get("a_contact")
     return Model(
         name=name,
         m=m,
         frame=frame,
-        a_contact=int(a_contact) if a_contact is not None else None,
+        a_contact=data.get("a_contact"),
         caps=caps,
         trial_set=trial,
         sign_flipped=flipped,

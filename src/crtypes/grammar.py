@@ -7,9 +7,10 @@
     coeff    := rational | rational 'i' | '(' rational ('+'|'-') rational 'i' ')'
     rational := int ('/' posint)?
 
-Re(E) is sugar for (E + conj(E))*(1/2).  The printer emits terms in
-graded-lexicographic order of exponent vectors, which makes output
-deterministic and re-parseable to the identical polynomial.
+Re(E) is sugar for (E + conj(E))*(1/2).  Parentheses, Re(...) included,
+nest at most MAX_NESTING deep, as the parser recurses once per level.  The
+printer emits terms in graded-lexicographic order of exponent vectors, which
+makes output deterministic and re-parseable to the identical polynomial.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from typing import List, Optional, Tuple
 
 from .gaussian import GaussianRational, gr
 from .poly import Poly, PolyRing
+
+
+MAX_NESTING = 100
 
 
 class PolyParseError(ValueError):
@@ -95,6 +99,7 @@ class _Parser:
         self.ring = ring
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -202,14 +207,22 @@ class _Parser:
             return Fraction(sign * num, int(d.text))
         return Fraction(sign * num)
 
+    def parse_nested(self, opener: _Token) -> Poly:
+        """The expression after an opening parenthesis, up to its ')'."""
+        if self.depth == MAX_NESTING:
+            self.error(f"parentheses nested deeper than {MAX_NESTING}", opener)
+        self.depth += 1
+        inner = self.parse_expr()
+        self.expect_punct(")")
+        self.depth -= 1
+        return inner
+
     def parse_factor(self) -> Poly:
         t = self.next()
         base: Poly
         if t.kind == "name" and t.text == "Re":
             self.expect_punct("(")
-            inner = self.parse_expr()
-            self.expect_punct(")")
-            base = inner.real_part()
+            base = self.parse_nested(t).real_part()
         elif t.kind == "name" and t.text == "conj":
             self.expect_punct("(")
             v = self.next()
@@ -222,8 +235,7 @@ class _Parser:
                 self.error(f"unknown variable {t.text!r}", t)
             base = self.ring.var(t.text)
         elif t.kind == "punct" and t.text == "(":
-            base = self.parse_expr()
-            self.expect_punct(")")
+            base = self.parse_nested(t)
         else:
             self.error(f"expected a variable or '(', found {t.text!r}", t)
         nxt = self.peek()

@@ -133,7 +133,7 @@ def _compose_truncated(rho: Poly, images: Sequence[Poly], target: PolyRing,
             cache[(slot, e)] = got
         return got
 
-    total = target.zero()
+    factors = []
     for key, c in rho.terms.items():
         low = 0
         for slot, e in enumerate(key):
@@ -151,8 +151,8 @@ def _compose_truncated(rho: Poly, images: Sequence[Poly], target: PolyRing,
                 factor = factor.mul_truncated(power(slot, e), max_degree)
                 if factor.is_zero():
                     break
-        total = total + factor
-    return total
+        factors.append(factor)
+    return Poly.sum(target, factors)
 
 
 def _monomials(ring: PolyRing, degree: int) -> List[Tuple[int, ...]]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .gaussian import GaussianRational, ONE, ZERO, gr
@@ -22,6 +23,8 @@ Exponents = Tuple[int, ...]
 VarLike = Union[int, str]
 
 INFINITE = math.inf
+
+_HALF = gr(Fraction(1, 2))
 
 
 class PolyError(ValueError):
@@ -120,6 +123,21 @@ def _as_gr(c) -> GaussianRational:
     raise PolyError(f"cannot coerce {c!r} to GaussianRational")
 
 
+def _add_into(out: Dict[Exponents, GaussianRational],
+              terms: Mapping[Exponents, GaussianRational]) -> None:
+    """Add terms into out in place, dropping monomials that cancel."""
+    for k, c in terms.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = c
+        else:
+            s = s + c
+            if s.is_zero():
+                del out[k]
+            else:
+                out[k] = s
+
+
 class Poly:
     """Immutable sparse polynomial: map from exponent vectors to nonzero coefficients."""
 
@@ -141,19 +159,18 @@ class Poly:
         if self.ring != other.ring:
             raise PolyError(f"ring mismatch: {self.ring} vs {other.ring}")
 
+    @staticmethod
+    def sum(ring: PolyRing, polys: Iterable["Poly"]) -> "Poly":
+        """Sum accumulated in one dict: linear in the total number of terms."""
+        out: Dict[Exponents, GaussianRational] = {}
+        for p in polys:
+            _add_into(out, p.terms)
+        return Poly(ring, out)
+
     def __add__(self, other: "Poly") -> "Poly":
         self._check_ring(other)
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
+        _add_into(out, other.terms)
         return Poly(self.ring, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -167,7 +184,7 @@ class Poly:
         out: Dict[Exponents, GaussianRational] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
+                k = tuple(map(add, k1, k2))
                 c = c1 * c2
                 s = out.get(k)
                 if s is None:
@@ -190,7 +207,7 @@ class Poly:
             for k2, d2, c2 in right:
                 if d1 + d2 > max_degree:
                     continue
-                k = tuple(a + b for a, b in zip(k1, k2))
+                k = tuple(map(add, k1, k2))
                 c = c1 * c2
                 s = out.get(k)
                 if s is None:
@@ -250,7 +267,7 @@ class Poly:
         return self.conj() == self
 
     def real_part(self) -> "Poly":
-        return (self + self.conj()).scale(Fraction(1, 2))
+        return (self + self.conj()).scale(_HALF)
 
     def holomorphic_part(self) -> "Poly":
         """Monomials free of every barred variable (constants included)."""
@@ -276,22 +293,21 @@ class Poly:
     # -- calculus ---------------------------------------------------------
 
     def _d_slot(self, slot: int) -> "Poly":
+        # lowering one exponent maps distinct monomials to distinct ones, and
+        # e * c is nonzero, so terms neither collide nor cancel
         out = {}
         for k, c in self.terms.items():
             e = k[slot]
             if e:
-                nk = k[:slot] + (e - 1,) + k[slot + 1:]
-                nc = c * gr(e)
-                prev = out.get(nk)
-                out[nk] = nc if prev is None else prev + nc
-        return Poly._make(self.ring, out)
+                out[k[:slot] + (e - 1,) + k[slot + 1:]] = c if e == 1 else c * gr(e)
+        return Poly(self.ring, out)
 
     def _integrate_slot(self, slot: int) -> "Poly":
         """Term-wise antiderivative in one slot: _d_slot undoes it."""
         out = {}
         for k, c in self.terms.items():
             e = k[slot]
-            out[k[:slot] + (e + 1,) + k[slot + 1:]] = c * gr(Fraction(1, e + 1))
+            out[k[:slot] + (e + 1,) + k[slot + 1:]] = c / gr(e + 1)
         return Poly(self.ring, out)
 
     def dz(self, v: VarLike) -> "Poly":
@@ -392,14 +408,14 @@ class Poly:
                 power_cache[(slot, e)] = got
             return got
 
-        total = target.zero()
+        factors = []
         for k, c in self.terms.items():
             factor = target.const(c)
             for slot, e in enumerate(k):
                 if e:
                     factor = factor * power(slot, e)
-            total = total + factor
-        return total
+            factors.append(factor)
+        return Poly.sum(target, factors)
 
     def _resolve_images(self, mapping: Mapping[VarLike, "Poly"]):
         nv = self.ring.nv

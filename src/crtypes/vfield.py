@@ -134,14 +134,16 @@ class VectorField:
 
     def apply(self, p: Poly) -> Poly:
         """Act on a polynomial as a derivation."""
-        out = self.ring.zero()
+        if not p.terms:
+            return self.ring.zero()
+        parts = []
         for slot, c in enumerate(self.coeffs):
             if c.is_zero():
                 continue
             d = p._d_slot(slot)
             if not d.is_zero():
-                out = out + c * d
-        return out
+                parts.append(c * d)
+        return Poly.sum(self.ring, parts)
 
     def conj_field(self) -> "VectorField":
         nv = self.ring.nv

@@ -183,6 +183,45 @@ class TestExitCodes:
             assert captured.out == ""
             assert "got 0" in captured.err
 
+    def test_deep_parentheses(self, capsys):
+        code = main(["psh", "--poly", "(" * 3000 + "z1" + ")" * 3000])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: parentheses nested deeper than 100")
+        assert "line 1, column 101" in captured.err
+
+    def test_field_types_in_model_file(self, tmp_path, capsys):
+        base = {"n": 3, "rho": "-2*Re(w) + (z1*conj(z1))^2 + z2*conj(z2)"}
+        bad = [
+            ("n", [3], "n must be an integer"),
+            ("n", True, "n must be an integer"),
+            ("n", None, "n must be an integer"),
+            ("rho", 5, "rho must be a string"),
+            ("frame", ["1", "-conj(z1)"], "frame must be a list of lists of strings"),
+            ("frame", [[1, 0]], "frame must be a list of lists of strings"),
+            ("trial_set", "1", "trial_set must be a list of strings"),
+            ("a_contact", [4], "a_contact must be an integer"),
+            ("caps", {"coeff_set": [0, 1]}, "caps.coeff_set must be a list of strings"),
+        ]
+        path = tmp_path / "bad.json"
+        for key, value, message in bad:
+            path.write_text(json.dumps({**base, key: value}))
+            code = main(["vftype", "--model", str(path)])
+            captured = capsys.readouterr()
+            assert code == 1, (key, value)
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and message in captured.err
+
+    def test_null_optional_fields_accepted(self, tmp_path, capsys):
+        path = tmp_path / "nulls.json"
+        path.write_text(json.dumps({
+            "n": 3,
+            "rho": "-2*Re(w) + (z1*conj(z1))^2 + z2*conj(z2)",
+            "frame": None, "trial_set": None, "a_contact": None,
+        }))
+        assert main(["vftype", "--model", str(path), "--cap", "3"]) == 0
+
 
 class TestTextMode:
     def test_fixtures_text(self, capsys):
