@@ -277,28 +277,46 @@ def _check_jet(frame: Frame, cap: int) -> None:
 
 
 def _words(gens: Sequence[Tuple[str, VectorField]], seeds: Sequence[Tuple[str, object]],
-           first: int, cap: int, step: Callable[[VectorField, object], object],
+           first: int, cap: int, step: Callable[[VectorField, object, int], object],
            fmt: str) -> Iterator[Tuple[int, str, object]]:
     """Words of length first..cap, lazily, as (length, name, object).
 
     The seeds are the words of length first.  A word of the next length is
-    step(g, w), named fmt.format(gname, wname), for each generator g (outer)
-    and each word w of the previous length (inner).  A level is built only as
-    far as the caller reads it, so a caller that stops at a witness builds no
-    more.
+    step(g, w, max_degree), named fmt.format(gname, wname), for each
+    generator g (outer) and each nonzero word w of the previous length
+    (inner).  A level is built only as far as the caller reads it, so a
+    caller that stops at a witness builds no more.
+
+    Truncation: a word of length l > first is built only through degree
+    cap - l (step drops the monomials above max_degree).  A bracket or a
+    derivative lowers the degree by at most one, so the part of degree <= d
+    of [g, w] or g(w) depends only on the part of w of degree <= d + 1: each
+    word agrees with its untruncated value through degree cap - l >= 0, at 0
+    in particular, which is all the callers read.
+
+    Pruning: a zero word is yielded but not carried into the next level,
+    since all its descendants are zero; the enumeration stops at an empty
+    level.  The words yielded are the full enumeration, in its order, less
+    the descendants of zero words, so the first word with a nonzero value at
+    0 is the same.
     """
     if first > cap:
         return
-    level = list(seeds)
-    for name, obj in level:
+    level = []
+    for name, obj in seeds:
         yield first, name, obj
+        if not obj.is_zero():
+            level.append((name, obj))
     for length in range(first + 1, cap + 1):
+        if not level:
+            return
         nxt = []
         for gname, g in gens:
             for wname, w in level:
-                word = (fmt.format(gname, wname), step(g, w))
-                nxt.append(word)
-                yield (length,) + word
+                name, obj = fmt.format(gname, wname), step(g, w, cap - length)
+                yield length, name, obj
+                if not obj.is_zero():
+                    nxt.append((name, obj))
         level = nxt
 
 
@@ -314,6 +332,16 @@ def _trace_words(m: Hypersurface, frame: Frame, cap: int) -> Iterator[Tuple[int,
     return _words(_generators(frame), seeds, 2, cap, VectorField.apply, "{}({})")
 
 
+def _pairing_at_zero(f: VectorField) -> GaussianRational:
+    """<f, d rho>(0) = -f^w(0) on every model.
+
+    Hypersurface fixes the linear part of rho to -w - conj(w), so
+    rho_w(0) = -1 and rho_{z_i}(0) = 0; pair_with_drho gives the same value
+    by multiplying with the derivatives of rho.  w is the last variable.
+    """
+    return -f.coeffs[f.ring.nv - 1].constant_term()
+
+
 def commutator_type(m: Hypersurface, frame: Frame, cap: int) -> TypeReport:
     """Least nested-commutator length whose pairing with d rho is nonzero at 0.
 
@@ -323,7 +351,7 @@ def commutator_type(m: Hypersurface, frame: Frame, cap: int) -> TypeReport:
     """
     _check_jet(frame, cap)
     for length, name, f in _bracket_words(frame, cap):
-        if length > 1 and not pair_with_drho(f, m).constant_term().is_zero():
+        if length > 1 and not _pairing_at_zero(f).is_zero():
             return TypeReport("vector_field", length, cap, name)
     return TypeReport("vector_field", None, cap)
 
@@ -453,7 +481,7 @@ class VanishingReport:
 def bracket_pairing_vanishing(m0: Hypersurface, frame0: Frame, cap: int) -> VanishingReport:
     """Check <word, d rho>(0) = 0 for every nested bracket word of length <= cap."""
     for _, name, f in _bracket_words(frame0, cap):
-        val = pair_with_drho(f, m0).constant_term()
+        val = _pairing_at_zero(f)
         if not val.is_zero():
             return VanishingReport(False, cap, name, str(val))
     return VanishingReport(True, cap)
@@ -471,19 +499,21 @@ def levi_trace_vanishing(m0: Hypersurface, frame0: Frame, cap: int) -> Vanishing
 def bracket_span_dim(frame0: Frame, cap: int) -> int:
     """Real dimension at 0 of the span of Re/Im of bracket words of length <= cap."""
     nv = frame0.m.ring.nv
+    half, two_i = gr(Fraction(1, 2)), gr(0, 2)
     vectors: List[List[GaussianRational]] = []
     for _, _, f in _bracket_words(frame0, cap):
         v = f.eval_at_zero()
-        conj_v = f.conj_field().eval_at_zero()
-        re = [(a + b) * gr(Fraction(1, 2)) for a, b in zip(v, conj_v)]
-        im = [(a - b) / gr(0, 2) for a, b in zip(v, conj_v)]
+        # a real field is determined by its unbarred half u: encode Re f and
+        # Im f as (Re u_0, Im u_0, ..., Re u_{nv-1}, Im u_{nv-1}); the
+        # unbarred half of conj(f) at 0 is the conjugate of f's barred half
+        conj_u = [c.conjugate() for c in v[nv:]]
+        re = [(a + b) * half for a, b in zip(v, conj_u)]
+        im = [(a - b) / two_i for a, b in zip(v, conj_u)]
         for real_field in (re, im):
-            # a real field is determined by its unbarred half u: encode as
-            # (Re u_0, Im u_0, ..., Re u_{nv-1}, Im u_{nv-1})
             row: List[GaussianRational] = []
-            for i in range(nv):
-                row.append(gr(real_field[i].re))
-                row.append(gr(real_field[i].im))
+            for c in real_field:
+                row.append(gr(c.re))
+                row.append(gr(c.im))
             vectors.append(row)
     return rank(vectors)
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .gaussian import GaussianRational, ONE, ZERO, gr
 from .linalg import det as _det, rank as _rank
 from .poly import INFINITE, Poly, PolyError, PolyRing, WeightSystem
-from .vfield import Hypersurface, VectorField, cr_frame
+from .vfield import Hypersurface, VectorField
 
 
 class NormalizeError(ValueError):
@@ -240,7 +240,7 @@ class Frame:
 
     def fields(self) -> List[VectorField]:
         if self._fields is None:
-            ls = cr_frame(self.m, self.m.jet_order)
+            ls = self.m.cr_fields()
             out = []
             for row in self.matrix:
                 s = VectorField.zero(self.m.ring)

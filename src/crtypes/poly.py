@@ -174,7 +174,19 @@ class Poly:
         return Poly(self.ring, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check_ring(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k)
+            if s is None:
+                out[k] = -c
+            else:
+                s = s - c
+                if s.is_zero():
+                    del out[k]
+                else:
+                    out[k] = s
+        return Poly(self.ring, out)
 
     def __neg__(self) -> "Poly":
         return Poly(self.ring, {k: -c for k, c in self.terms.items()})

@@ -11,7 +11,7 @@ certificate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, gr
 from .poly import INFINITE, Poly, PolyError, PolyRing, hypersurface_ring
@@ -24,7 +24,7 @@ class HypersurfaceError(ValueError):
 class Hypersurface:
     """A polynomial model {rho = 0} with rho = -2*Re(w) + chi, chi = O(2)."""
 
-    __slots__ = ("n", "ring", "rho", "jet_order")
+    __slots__ = ("n", "ring", "rho", "jet_order", "_cr_fields")
 
     def __init__(self, n: int, rho: Poly, jet_order=INFINITE):
         self.n = n
@@ -40,6 +40,7 @@ class Hypersurface:
             raise HypersurfaceError("linear part must be exactly -w - conj(w)")
         self.rho = rho
         self.jet_order = jet_order
+        self._cr_fields = None
 
     @staticmethod
     def from_rho(n: int, rho: Poly) -> Tuple["Hypersurface", bool]:
@@ -68,6 +69,12 @@ class Hypersurface:
     def chi_rigid(self) -> Poly:
         """chi with any Im w dependence frozen at Im w = 0."""
         return self.chi.set_zero(["w"])
+
+    def cr_fields(self) -> Tuple["VectorField", ...]:
+        """cr_frame(self, self.jet_order), built once: the model is immutable."""
+        if self._cr_fields is None:
+            self._cr_fields = tuple(cr_frame(self, self.jet_order))
+        return self._cr_fields
 
     def __repr__(self) -> str:
         return f"Hypersurface(n={self.n}, rho={self.rho})"
@@ -113,7 +120,11 @@ class VectorField:
         )
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + (-other)
+        return VectorField(
+            self.ring,
+            [a - b for a, b in zip(self.coeffs, other.coeffs)],
+            min(self.jet_order, other.jet_order),
+        )
 
     def __neg__(self) -> "VectorField":
         return VectorField(self.ring, [-c for c in self.coeffs], self.jet_order)
@@ -132,8 +143,12 @@ class VectorField:
     def __hash__(self) -> int:
         return hash((self.ring, self.coeffs))
 
-    def apply(self, p: Poly) -> Poly:
-        """Act on a polynomial as a derivation."""
+    def apply(self, p: Poly, max_degree: Optional[int] = None) -> Poly:
+        """Act on a polynomial as a derivation.
+
+        With max_degree, monomials of total degree above it are left out of
+        the result (the products are truncated ones).
+        """
         if not p.terms:
             return self.ring.zero()
         parts = []
@@ -142,7 +157,7 @@ class VectorField:
                 continue
             d = p._d_slot(slot)
             if not d.is_zero():
-                parts.append(c * d)
+                parts.append(c * d if max_degree is None else c.mul_truncated(d, max_degree))
         return Poly.sum(self.ring, parts)
 
     def conj_field(self) -> "VectorField":
@@ -195,11 +210,17 @@ def field_from_json(ring: PolyRing, data: Dict[str, str]) -> VectorField:
     return VectorField(ring, coeffs)
 
 
-def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """[X, Y], coefficient-wise X(Y^dir) - Y(X^dir)."""
+def lie_bracket(x: VectorField, y: VectorField,
+                max_degree: Optional[int] = None) -> VectorField:
+    """[X, Y], coefficient-wise X(Y^dir) - Y(X^dir).
+
+    With max_degree, the coefficients keep only their monomials of total
+    degree up to max_degree.
+    """
     if x.ring != y.ring:
         raise PolyError("bracket of fields over different rings")
-    coeffs = [x.apply(yc) - y.apply(xc) for xc, yc in zip(x.coeffs, y.coeffs)]
+    coeffs = [x.apply(yc, max_degree) - y.apply(xc, max_degree)
+              for xc, yc in zip(x.coeffs, y.coeffs)]
     jet = min(x.jet_order, y.jet_order)
     if jet is not INFINITE:
         jet = max(jet - 1, 0)

@@ -25,6 +25,8 @@ def test_ring_laws(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert p * (q + r) == p * q + p * r
     assert (p * q) * r == p * (q * r)
+    assert p - q == p + (-q)
+    assert (p - p).is_zero()
 
 
 @given(polys, polys)

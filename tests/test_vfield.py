@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crtypes.gaussian import gr
 from crtypes.grammar import parse_poly
-from crtypes.poly import INFINITE, hypersurface_ring
+from crtypes.poly import INFINITE, Poly, hypersurface_ring
 from crtypes.vfield import (
     Hypersurface,
     HypersurfaceError,
@@ -17,7 +18,7 @@ from crtypes.vfield import (
     pair_with_drho,
 )
 
-from helpers import random_poly
+from helpers import SMALL_COEFFS, random_poly
 
 R2 = hypersurface_ring(2)  # z1, w
 R3 = hypersurface_ring(3)  # z1, z2, w
@@ -93,6 +94,16 @@ class TestCrFrame:
         residual = l1.apply(m.rho)
         assert not residual.is_zero()
         assert residual.vanishing_order() > 3
+
+    def test_model_builds_its_frame_once(self):
+        m = cubic_model()
+        assert m.cr_fields() is m.cr_fields()
+        assert list(m.cr_fields()) == cr_frame(m)
+        rho = parse_poly(R2, "-2*Re(w) + z1*conj(z1) + (0-1/2i)*z1*conj(z1)*w"
+                             " + (0+1/2i)*z1*conj(z1)*conj(w)")
+        m = Hypersurface(2, rho, jet_order=3)
+        assert list(m.cr_fields()) == cr_frame(m, jet_order=3)
+        assert m.cr_fields()[0].jet_order == 3
 
 
 class TestDerivationAndBracket:
@@ -174,6 +185,28 @@ class TestBracketLaws:
         for l in cr_frame(m):
             val = pair_with_drho(lie_bracket(l, l.conj_field()), m).constant_term()
             assert val == val.conjugate()
+
+
+coeff_polys = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 6),
+    st.sampled_from(SMALL_COEFFS),
+    max_size=3,
+).map(lambda terms: Poly._make(R3, terms))
+fields = st.lists(coeff_polys, min_size=6, max_size=6).map(lambda cs: VectorField(R3, cs))
+
+
+@given(fields, fields, st.integers(min_value=0, max_value=8))
+@settings(max_examples=100, deadline=None)
+def test_truncated_bracket_and_apply(x, y, d):
+    """With max_degree d, bracket and derivation drop exactly the monomials above d."""
+
+    def drop_above(p):
+        return Poly(R3, {k: c for k, c in p.terms.items() if sum(k) <= d})
+
+    full = lie_bracket(x, y)
+    assert lie_bracket(x, y, d) == VectorField(R3, [drop_above(c) for c in full.coeffs])
+    for p in y.coeffs:
+        assert x.apply(p, d) == drop_above(x.apply(p))
 
 
 def test_json_round_trip():

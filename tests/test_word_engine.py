@@ -7,10 +7,13 @@ Caps 0 and 1 are included: the bracket words visit the generators whatever
 the cap, the trace words start at length 2.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_words as ref
+from helpers import SMALL_COEFFS, random_poly
 from crtypes import invariants as inv
 from crtypes.cli import load_model
 from crtypes.fixtures import all_fixtures
@@ -18,7 +21,7 @@ from crtypes.grammar import parse_poly
 from crtypes.invariants import assign_weights, truncate_frame, truncated_model
 from crtypes.normalize import Frame, kill_holomorphic_terms
 from crtypes.poly import hypersurface_ring
-from crtypes.vfield import Hypersurface, VectorField
+from crtypes.vfield import Hypersurface, VectorField, lie_bracket, pair_with_drho
 
 CAPS = list(range(-1, 7))
 TYPES = ("commutator_type", "levi_type")
@@ -99,6 +102,48 @@ def test_levi_null_frames(n, scales, extra, cap):
     assert_same_as_reference(m, frame, cap)
 
 
+@pytest.mark.parametrize("n,scales,extra", LEVI_NULL)
+def test_levi_null_frames_deep(n, scales, extra):
+    """Past the caps of the grid above: cap 8 on n = 3, cap 7 on n = 4."""
+    m, frame = levi_null(n, scales, extra)
+    assert_same_as_reference(m, frame, 8 if n == 3 else 7)
+
+
+def test_n4_commutator_type_cap_12_bracket_count(monkeypatch):
+    """On S_j = L_j - conj(z_j) L_3 every word of length 3 is zero, so cap 12
+    takes the 16 + 16 brackets of lengths 2 and 3; enumerating every word
+    of length up to 12 would take about 2.2e7."""
+    m, frame = levi_null(4, [1, 1])
+    calls = []
+    bracket = inv.lie_bracket
+
+    def counted(x, y, max_degree=None):
+        calls.append(1)
+        return bracket(x, y, max_degree)
+
+    monkeypatch.setattr(inv, "lie_bracket", counted)
+    assert inv.commutator_type(m, frame, 12).to_json_dict()["value"] == ">12"
+    assert len(calls) <= 32
+
+
+@pytest.mark.parametrize("m,frame", model_frames())
+def test_pairing_at_zero_is_minus_w_coefficient(m, frame):
+    """The engine reads <X, d rho>(0) as -X^w(0); pair_with_drho multiplies
+    by the derivatives of rho.  Checked on the frame's words of length <= 2
+    and on random fields with random values at 0 in every direction."""
+    rng = random.Random(7)
+    ring = m.ring
+    gens = [f for _, f in inv._generators(frame)]
+    fields = gens + [lie_bracket(g, h) for g in gens for h in gens]
+    for _ in range(20):
+        coeffs = [ring.const(rng.choice(SMALL_COEFFS)) + random_poly(ring, rng)
+                  for _ in range(2 * ring.nv)]
+        fields.append(VectorField(ring, coeffs))
+    values = [pair_with_drho(f, m).constant_term() for f in fields]
+    assert [inv._pairing_at_zero(f) for f in fields] == values
+    assert sum(not v.is_zero() for v in values) >= 10
+
+
 MONOMIALS = ["z1", "conj(z1)", "z2", "conj(z2)", "z1*conj(z1)", "z1^2", "conj(z1)^2",
              "z1*conj(z2)", "z2*conj(z1)", "z2*conj(z2)"]
 COEFFS = ["1", "-1", "1i", "-1i", "2", "1/2"]
@@ -129,9 +174,9 @@ def count_applies(monkeypatch, call):
     calls = []
     apply = VectorField.apply
 
-    def counted(self, p):
+    def counted(self, p, max_degree=None):
         calls.append(1)
-        return apply(self, p)
+        return apply(self, p, max_degree)
 
     with monkeypatch.context() as patch:
         patch.setattr(VectorField, "apply", counted)
@@ -146,8 +191,10 @@ def test_trace_words_stop_at_cap(monkeypatch):
     got, n_got = count_applies(monkeypatch, lambda: inv.levi_type(m, frame, 8))
     want, n_want = count_applies(monkeypatch, lambda: ref.levi_type(m, frame, 8))
     assert got == want and got["value"] == ">8"
-    # 12 applies build the trace, then 2 + 4 + ... + 64 for lengths 3..8
-    assert (n_got, n_want) == (138, 266)
+    # 12 applies build the trace, then 2 for length 3; both words are zero,
+    # so the engine builds no more, where the reference builds 4 + ... + 64
+    # more for lengths 4..8
+    assert (n_got, n_want) == (14, 266)
 
 
 def test_words_stop_at_witness(monkeypatch):
@@ -157,8 +204,10 @@ def test_words_stop_at_witness(monkeypatch):
     got, n_got = count_applies(monkeypatch, lambda: inv.commutator_type(m, frame, 8))
     want, n_want = count_applies(monkeypatch, lambda: ref.commutator_type(m, frame, 8))
     assert got == want and got["witness"] == "[S1,[S1b,[S1,S1b]]]"
-    # the reference stops at the witness too, the sixth of 16 words of length 4
-    assert n_got == n_want
+    # 12 applies a bracket; both stop at the witness, the reference after
+    # 4 + 8 + 6 brackets, the engine after 4 + 4 + 3: the zero words [S1,S1]
+    # and [S1b,S1b] are not bracketed further
+    assert (n_got, n_want) == (132, 216)
     got, n_got = count_applies(monkeypatch, lambda: inv.levi_type(m, frame, 8))
     want, n_want = count_applies(monkeypatch, lambda: ref.levi_type(m, frame, 8))
     assert got == want and got["value"] == "4"
