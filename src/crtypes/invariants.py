@@ -182,12 +182,30 @@ def contact_search(
     degree: once the composed defining function is nonzero at some degree,
     that degree is the exact contact order of every completion, so whole
     subtrees collapse to a single report.
+
+    Screening by the linear part: an expanded node phi of level l has
+    rho(phi) = O(l + 1), and a child adds a homogeneous delta of degree
+    l + 1.  Since rho = -w - conj(w) + O(2) and every component vanishes at
+    0, the child's part of degree l + 1 is T - delta_w - conj(delta_w), with
+    T the part of degree l + 1 of rho(phi), composed once per node.  So the
+    child survives (vanishes through l + 1) exactly when T = H + conj(H)
+    for its holomorphic part H and the w-slots of delta carry H's
+    coefficients; every other child has contact order exactly l + 1.  Only
+    the survivors are enumerated, in product order with the w-slots fixed.
+    The others need a report only when no child survives, and then only the
+    first: a survivor's subtree reports at least l + 2, and equal orders
+    keep the first witness.
+
+    At the cap a survivor's order is read from rho(phi) truncated at
+    degree_cap + 1, the bound doubling up to rho.degree() * degree_cap, which
+    is at least the degree of rho(phi): zero there means INFINITE.
     """
     if not 1 <= s <= m.n - 1:
         raise PolyError(f"submanifold dimension {s} out of range for n = {m.n}")
     if not coeff_set:
         raise PolyError("empty coefficient set")
     n_comp = m.ring.nv
+    w_comp = n_comp - 1
     param = parameter_ring(s)
     mons = {d: _monomials(param, d) for d in range(1, degree_cap + 1)}
     rho = m.rho
@@ -207,38 +225,49 @@ def contact_search(
             best[0] = order
             best[1] = tuple(comps)
 
-    def visit(level: int, comps: List[Poly], pinned: Sequence[int]):
-        trunc = _compose_truncated(rho, comps, param, level)
-        order = trunc.vanishing_order()
-        if order <= level:
-            record(order, comps)
-            return
-        if level == degree_cap:
-            mapping = {i: comps[i] for i in range(n_comp)}
-            full = rho.substitute(mapping)
-            record(full.vanishing_order(), comps)
-            return
+    def child(comps, slots, assignment):
+        extended = list(comps)
+        for (ci, key), c in zip(slots, assignment):
+            if not c.is_zero():
+                extended[ci] = extended[ci] + param.monomial(key, c)
+        return extended
+
+    def order_at_cap(comps):
+        bound = degree_cap + 1
+        while True:
+            order = _compose_truncated(rho, comps, param, bound).vanishing_order()
+            if order is not INFINITE or bound >= max_finite_order:
+                return order
+            bound = min(2 * bound, max_finite_order)
+
+    def expand(level: int, comps: List[Poly], slots):
+        """The children comps + delta over slots; rho(comps) = O(level + 1)."""
         nxt = level + 1
-        slots = [(ci, key) for ci in range(n_comp) for key in mons[nxt]]
-        for assignment in itertools.product(coeff_set, repeat=len(slots)):
-            extended = list(comps)
-            for (ci, key), c in zip(slots, assignment):
-                if not c.is_zero():
-                    extended[ci] = extended[ci] + param.monomial(key, c)
-            visit(nxt, extended, pinned)
+        top = _compose_truncated(rho, comps, param, nxt)
+        hol = top.holomorphic_part()
+        w_keys = {key for ci, key in slots if ci == w_comp}
+        can_cancel = (top - hol - hol.conj()).is_zero() and w_keys.issuperset(hol.terms)
+        choices = [[c for c in coeff_set if c == hol.coeff(key)] if ci == w_comp
+                   else coeff_set for ci, key in slots]
+        if not can_cancel or not all(choices):
+            # no child survives: each has order exactly nxt, the first is the witness
+            if best[0] is not INFINITE and nxt > best[0]:
+                record(nxt, child(comps, slots, [coeff_set[0]] * len(slots)))
+            return
+        for assignment in itertools.product(*choices):
+            extended = child(comps, slots, assignment)
+            if nxt == degree_cap:
+                record(order_at_cap(extended), extended)
+            else:
+                expand(nxt, extended, [(ci, key) for ci in range(n_comp)
+                                       for key in mons[nxt + 1]])
 
     for pinned in itertools.combinations(range(n_comp), s):
         base = [param.zero()] * n_comp
         for j, ci in enumerate(pinned):
             base[ci] = param.var(j)
         free = [ci for ci in range(n_comp) if ci not in pinned]
-        slots = [(ci, key) for ci in free for key in mons[1]]
-        for assignment in itertools.product(coeff_set, repeat=len(slots)):
-            comps = list(base)
-            for (ci, key), c in zip(slots, assignment):
-                if not c.is_zero():
-                    comps[ci] = comps[ci] + param.monomial(key, c)
-            visit(1, comps, pinned)
+        expand(0, base, [(ci, key) for ci in free for key in mons[1]])
 
     if best[0] is INFINITE:
         witness = "(" + ",".join(str(c) for c in best[1]) + ")"

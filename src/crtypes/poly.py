@@ -156,7 +156,7 @@ class Poly:
     # -- ring arithmetic ----------------------------------------------------
 
     def _check_ring(self, other: "Poly") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise PolyError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     @staticmethod

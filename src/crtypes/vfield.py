@@ -38,6 +38,13 @@ class Hypersurface:
         w, wb = self.ring.var("w"), self.ring.conj_var("w")
         if rho.hom_part(1) != -(w + wb):
             raise HypersurfaceError("linear part must be exactly -w - conj(w)")
+        nz = n - 1
+        for key, c in rho.terms.items():
+            if sum(key) > 1 and not any(key[:nz]) and not any(key[n:n + nz]):
+                raise HypersurfaceError(
+                    f"chi = O(|z|^2 + |z Im w|) fails: the term "
+                    f"{self.ring.monomial(key, c)} has no z factor"
+                )
         self.rho = rho
         self.jet_order = jet_order
         self._cr_fields = None

@@ -1,7 +1,8 @@
-"""One cycle of the bracket-ladder benchmark workload as a Tier-1 gate.
+"""Benchmark jobs as a Tier-1 gate: one cycle of the bracket-ladder
+workload and the fixture contact jobs of model-corpus.
 
-Builds the job list of perfbench's bracket-ladder workload for its default
-seed, runs every job once, and checks each output byte for byte against the
+Builds the job list of a perfbench workload for its default seed, runs the
+selected jobs once, and checks each output byte for byte against the
 reference recorded in perfbench/expected and against the job's known
 answer, as the benchmark does.  perfbench is imported, never edited.
 """
@@ -29,12 +30,15 @@ def _workloads(monkeypatch):
     return module
 
 
-def test_bracket_ladder_cycle_matches_reference(monkeypatch):
+def _run_cycle(monkeypatch, workload, selected=lambda key: True):
+    """Run the selected jobs of one cycle; every one must match the recorded
+    reference byte for byte and pass its known-answer check."""
     ct = SimpleNamespace(package=importlib.import_module("crtypes"))
     for name in MODULES:
         setattr(ct, name, importlib.import_module(f"crtypes.{name}"))
-    jobs = _workloads(monkeypatch).build("bracket-ladder", SEED, ct)
-    reference = json.loads((PERFBENCH / "expected" / "bracket-ladder.json").read_text())
+    jobs = [job for job in _workloads(monkeypatch).build(workload, SEED, ct)
+            if selected(job.key)]
+    reference = json.loads((PERFBENCH / "expected" / f"{workload}.json").read_text())
     assert jobs and all(job.key in reference for job in jobs)
     failures = []
     for job in jobs:
@@ -46,3 +50,15 @@ def test_bracket_ladder_cycle_matches_reference(monkeypatch):
         if reason:
             failures.append((job.key, reason))
     assert not failures
+    return jobs
+
+
+def test_bracket_ladder_cycle_matches_reference(monkeypatch):
+    _run_cycle(monkeypatch, "bracket-ladder")
+
+
+def test_model_corpus_contact_jobs_match_reference(monkeypatch):
+    """The ten `crtypes contact --model <fixture>` jobs of model-corpus."""
+    jobs = _run_cycle(monkeypatch, "model-corpus",
+                      lambda key: key.startswith("crtypes contact --model "))
+    assert len(jobs) == 10

@@ -213,6 +213,16 @@ class TestExitCodes:
             assert captured.out == ""
             assert captured.err.startswith("error:") and message in captured.err
 
+    def test_pure_w_term_in_chi(self, tmp_path, capsys):
+        path = tmp_path / "pure-w.json"
+        path.write_text(json.dumps({
+            "n": 2, "rho": "-2*Re(w) + z1*conj(z1) + w*conj(w)"}))
+        code = main(["contact", "--model", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error" in json.loads(captured.out)
+        assert captured.err.startswith("error:") and "w*conj(w) has no z factor" in captured.err
+
     def test_null_optional_fields_accepted(self, tmp_path, capsys):
         path = tmp_path / "nulls.json"
         path.write_text(json.dumps({
